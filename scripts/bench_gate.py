@@ -2,8 +2,12 @@
 """Benchmark regression gate for CI.
 
 Compares a freshly generated pytest-benchmark JSON against the newest
-*committed* ``BENCH_*.json`` baseline and fails (exit 1) when any gated
-experiment regressed by more than the threshold.
+*committed* ``BENCH_PR<n>.json`` baseline (highest ``n``) and fails
+(exit 1) when any gated experiment regressed by more than the threshold,
+when a gated experiment has no baseline entry to compare against, or
+when there is no baseline at all.  Write the fresh JSON outside the
+repository root, so it can never overwrite or stand in for a committed
+baseline.
 
 For each gated experiment the preferred measure is the **simulated**
 statement time — ``extra_info.metrics["statements.elapsed_us"]["sum"]``,
@@ -28,7 +32,7 @@ regression direction already grants wall comparisons.
 
 Usage::
 
-    python scripts/bench_gate.py BENCH_PR5.json            # auto-baseline
+    python scripts/bench_gate.py /tmp/fresh.json           # auto-baseline
     python scripts/bench_gate.py fresh.json --baseline BENCH_PR4.json
     python scripts/bench_gate.py fresh.json --threshold 0.20 --gate e5,e9
     python scripts/bench_gate.py fresh.json --baseline BENCH_PR7.json \\
@@ -39,6 +43,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import sys
 
 #: Experiments whose regression fails the bench job.
@@ -85,16 +90,20 @@ def measure(bench):
     return float(bench["stats"]["median"]), "wall-median-s"
 
 
-def find_baseline(fresh_path):
-    """Newest committed ``BENCH_*.json`` that is not the fresh file."""
-    root = os.path.dirname(os.path.abspath(__file__))
-    repo = os.path.dirname(root)
-    candidates = sorted(
-        path
-        for path in glob.glob(os.path.join(repo, "BENCH_*.json"))
-        if os.path.abspath(path) != os.path.abspath(fresh_path)
-    )
-    return candidates[-1] if candidates else None
+BASELINE_NAME = re.compile(r"BENCH_PR(\d+)\.json$")
+
+
+def find_baseline(fresh_path, repo=None):
+    """The committed ``BENCH_PR<n>.json`` with the highest ``n``, compared
+    as a number rather than as text, that is not the fresh file."""
+    if repo is None:
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    candidates = []
+    for path in glob.glob(os.path.join(repo, "BENCH_PR*.json")):
+        match = BASELINE_NAME.search(os.path.basename(path))
+        if match and os.path.abspath(path) != os.path.abspath(fresh_path):
+            candidates.append((int(match.group(1)), path))
+    return max(candidates)[1] if candidates else None
 
 
 def compare(baseline, fresh, gated, threshold, wall_threshold=None):
@@ -117,7 +126,10 @@ def compare(baseline, fresh, gated, threshold, wall_threshold=None):
             __, fresh_bench = fresh[name]
             base_entry = baseline.get(name)
             if base_entry is None:
-                rows.append((label, "-", "-", "-", "new (no baseline)"))
+                rows.append((label, "-", "-", "-", "missing from baseline"))
+                failures.append(
+                    "%s: no baseline entry to compare against" % label
+                )
                 continue
             __, base_bench = base_entry
             base_value, base_kind = measure(base_bench)
@@ -229,8 +241,8 @@ def main(argv=None):
     parser.add_argument("fresh", help="freshly generated benchmark JSON")
     parser.add_argument(
         "--baseline",
-        help="committed baseline JSON (default: newest BENCH_*.json "
-        "in the repo root other than the fresh file)",
+        help="committed baseline JSON (default: the BENCH_PR<n>.json "
+        "in the repo root with the highest n, other than the fresh file)",
     )
     parser.add_argument(
         "--threshold", type=float, default=DEFAULT_THRESHOLD,
@@ -253,9 +265,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     baseline_path = args.baseline or find_baseline(args.fresh)
-    if baseline_path is None:
-        print("bench gate: no committed BENCH_*.json baseline; passing")
-        return 0
+    if baseline_path is None or not os.path.exists(baseline_path):
+        print(
+            "bench gate: FAIL no baseline to compare against (%s)"
+            % (baseline_path or "no committed BENCH_PR<n>.json")
+        )
+        return 1
     baseline = load_benchmarks(baseline_path)
     fresh = load_benchmarks(args.fresh)
     if args.expect_improvement:

@@ -6,7 +6,7 @@ spans "minutes" of server time (Section 2 of the paper) can be reproduced
 deterministically in milliseconds of wall time.
 """
 
-from repro.common.clock import SimClock, Timer
+from repro.common.clock import SimClock
 from repro.common.errors import (
     BufferPoolExhaustedError,
     CalibrationError,
@@ -40,7 +40,6 @@ from repro.common.units import (
 
 __all__ = [
     "SimClock",
-    "Timer",
     "ReproError",
     "BufferPoolExhaustedError",
     "CalibrationError",

@@ -67,25 +67,3 @@ class SimClock:
         """Number of timers not yet fired (for tests and diagnostics)."""
         return len(self._pending)
 
-
-class Timer:
-    """Accumulates charged time intervals against a :class:`SimClock`.
-
-    Used by the executor to attribute simulated cost to individual
-    operators while the shared clock keeps global order.
-    """
-
-    def __init__(self, clock):
-        self._clock = clock
-        self.elapsed_us = 0
-
-    def charge(self, delta_us):
-        """Charge ``delta_us`` to this timer and advance the global clock."""
-        if delta_us < 0:
-            raise ValueError("cannot charge negative time")
-        self.elapsed_us += int(delta_us)
-        self._clock.advance(delta_us)
-
-    def reset(self):
-        """Zero the local accumulator (the global clock is untouched)."""
-        self.elapsed_us = 0

@@ -50,6 +50,9 @@ class Cursor:
             yield_hook=server.spill_yield_point,
             snapshot_lsn=self._snapshot_lsn,
             snapshot_txn=connection._txn_id,
+            # One-row batches: each FETCH advances the operator tree by
+            # exactly the rows it returns.
+            batch_rows=1,
         )
         self.exec_stats = ExecStatsCollector()
         executor = Executor(

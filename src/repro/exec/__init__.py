@@ -1,7 +1,8 @@
 """Adaptive query execution (paper Sections 4.3–4.4).
 
-Volcano-style iterators over environment rows, with the paper's adaptive
-behaviours:
+Volcano-style iterators over column-major batches of environment rows
+(``Operator.execute_batches``, the one operator protocol), with the
+paper's adaptive behaviours:
 
 * a **memory governor** enforcing the hard limit (¾·max-pool / active
   requests, eq. 4) and soft limit (pool / multiprogramming level, eq. 5),

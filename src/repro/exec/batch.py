@@ -1,19 +1,17 @@
-"""Column-major batches and the row <-> batch shims.
+"""Column-major batches: the unit the operator protocol moves.
 
-The batch engine moves the operator protocol from row-at-a-time
-(``execute`` yielding one environment dict per row) to batch-at-a-time
-(``execute_batches`` yielding :class:`Batch` objects).  A batch stores
-rows column-major: one flat list of columns, with a *layout* mapping each
-environment key (quantifier id, or ``GROUP_ENV``) to its column span.
-Vectorized operators read whole columns with zero per-row dict lookups;
-unmigrated operators keep their row protocol and are adapted at the
-boundary by the shims below (the ``RowShim`` of the design docs):
+Operators exchange rows through ``execute_batches``, which yields
+:class:`Batch` objects.  A batch stores rows column-major: one flat list
+of columns, with a *layout* mapping each environment key (quantifier id,
+or ``GROUP_ENV``) to its column span.  Vectorized operators read whole
+columns with zero per-row dict lookups.  Two helpers cross between rows
+and batches:
 
-* :func:`rows_to_batches` packs a row stream into batches (a migrated
-  parent above an unmigrated child);
-* :func:`Batch.rows` / :func:`batches_to_rows` unpack batches back into
-  rows (an unmigrated parent above a migrated child, and the cursor /
-  snapshot-resolution surface, which stays row-at-a-time).
+* :class:`BatchBuilder` / :func:`rows_to_batches` pack rows that an
+  operator produces internally (sort merge, group emit, spill read-back,
+  join emission) into batches;
+* :func:`Batch.rows` / :func:`batches_to_rows` unpack batches at the
+  top of the tree, where the client receives rows.
 
 Two row shapes flow through the engine and both are supported: dict
 environments (``{qid: row_tuple}``) below Project, and plain tuples from
@@ -80,12 +78,12 @@ class Batch:
 
         The returned list is the batch's own storage: read-only by
         convention.  Returns ``None`` when the key is absent (the caller
-        raises the row path's exact error).
+        raises the same error ``evaluate`` raises for a missing key).
         """
         for entry_key, offset, width in self.layout:
             if entry_key == key:
                 if index >= width:
-                    # The row path raises IndexError from the row tuple.
+                    # As indexing the row tuple would.
                     raise IndexError("column index out of range")
                 return self.columns[offset + index]
         return None
@@ -93,10 +91,10 @@ class Batch:
     def has_key(self, key):
         return any(entry_key == key for entry_key, __, __w in self.layout)
 
-    # -- row access (the shim surface) ---------------------------------- #
+    # -- row access ----------------------------------------------------- #
 
     def rows(self):
-        """Unpack back into the row protocol's shapes, in order."""
+        """Unpack into row shapes (dicts or tuples), in order."""
         if self.layout is None:
             yield from zip(*self.columns) if self.columns else (
                 () for __ in range(self.count)
@@ -194,7 +192,7 @@ class BatchBuilder:
 
 
 def rows_to_batches(rows, batch_rows=DEFAULT_BATCH_ROWS):
-    """Shim: adapt a row stream (dicts or tuples) into batches."""
+    """Pack a row stream (dicts or tuples) into batches."""
     builder = BatchBuilder(batch_rows)
     for row in rows:
         batch = builder.add(row)
@@ -206,6 +204,6 @@ def rows_to_batches(rows, batch_rows=DEFAULT_BATCH_ROWS):
 
 
 def batches_to_rows(batches):
-    """Shim: unpack a batch stream back into the row protocol."""
+    """Unpack a batch stream into rows."""
     for batch in batches:
         yield from batch.rows()

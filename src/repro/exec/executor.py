@@ -34,7 +34,7 @@ class ExecutionContext:
     def __init__(self, pool, temp_file, stats, clock, task, params=None,
                  feedback_enabled=True, metrics=None, fault_plan=None,
                  yield_hook=None, snapshot_lsn=None, snapshot_txn=None,
-                 batch_mode=False, batch_rows=DEFAULT_BATCH_ROWS):
+                 batch_rows=DEFAULT_BATCH_ROWS):
         self.pool = pool
         self.temp_file = temp_file
         self.stats = stats
@@ -44,10 +44,8 @@ class ExecutionContext:
         self.feedback_enabled = feedback_enabled
         self.metrics = metrics
         self.fault_plan = fault_plan
-        #: Vectorized execution: drive the plan through the operators'
-        #: ``execute_batches`` protocol instead of row ``execute``.
-        self.batch_mode = batch_mode
-        #: Rows per batch for batch construction and the row shims.
+        #: Rows per batch.  A cursor uses 1, so each FETCH advances the
+        #: operator tree by exactly the rows it returns.
         self.batch_rows = batch_rows
         #: Workload-scheduler yield point, fired at spill-file flushes so
         #: concurrent sessions can interleave at I/O boundaries.
@@ -84,7 +82,7 @@ class ExecutionContext:
             params, self.feedback_enabled, metrics=self.metrics,
             fault_plan=self.fault_plan, yield_hook=self.yield_hook,
             snapshot_lsn=self.snapshot_lsn, snapshot_txn=self.snapshot_txn,
-            batch_mode=self.batch_mode, batch_rows=self.batch_rows,
+            batch_rows=self.batch_rows,
         )
         clone.cte_tables = self.cte_tables
         clone.notes = self.notes
@@ -120,17 +118,12 @@ class Executor:
         if result.recursive_cte is not None:
             self._materialize_cte(result.recursive_cte, ctx)
         operator = self.build(result.plan, depth=0)
-        if ctx.batch_mode:
-            # Batch protocol through the tree; the cursor surface above
-            # stays row-at-a-time, so unpack at the very top.
-            yield from batches_to_rows(operator.execute_batches(ctx))
-            return
-        yield from operator.execute(ctx)
+        yield from batches_to_rows(operator.execute_batches(ctx))
 
     def _materialize_cte(self, cte, ctx):
         base_result = self.plan_block_fn(cte.base_block)
         base_operator = self.build(base_result.plan, depth=0)
-        working = [tuple(row) for row in base_operator.execute(ctx)]
+        working = _tuples(base_operator, ctx)
         delta = list(working)
         iterations = 0
         strategies = []
@@ -147,7 +140,7 @@ class Executor:
             strategies.append(type(arm_result.plan).__name__)
             ctx.cte_tables[cte.name] = delta
             arm_operator = self.build(arm_result.plan, depth=0)
-            delta = [tuple(row) for row in arm_operator.execute(ctx)]
+            delta = _tuples(arm_operator, ctx)
             working.extend(delta)
         ctx.cte_tables[cte.name] = working
         ctx.notes["recursive_iterations"] = iterations
@@ -245,6 +238,10 @@ class Executor:
         if plan.__class__.__name__ in ("ProjectSource", "SingleRow"):
             return SingleRowOp()
         raise ExecutionError("no operator for plan node %r" % (type(plan).__name__,))
+
+
+def _tuples(operator, ctx):
+    return [tuple(row) for row in batches_to_rows(operator.execute_batches(ctx))]
 
 
 def _plan_quantifiers(plan):

@@ -16,7 +16,6 @@ from repro.exec.spill import (
 )
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
-    CPU_HASH_BUILD_US,
     CPU_HASH_PROBE_BATCH_US,
     CPU_HASH_PROBE_US,
     CPU_PREDICATE_BATCH_US,
@@ -34,28 +33,18 @@ HASH_PARTITIONS = 8
 
 
 class Operator:
-    """Base class: operators yield environment dicts (or tuples for
-    Project and above).
+    """Base class: operators yield column-major batches.
 
-    Two protocols coexist during the batch migration:
-
-    * ``execute(ctx)`` — the row protocol, one environment per ``next()``;
-    * ``execute_batches(ctx)`` — the batch protocol, column-major
-      :class:`~repro.exec.batch.Batch` slabs per ``next()``.
-
-    Migrated operators implement both natively; everyone else inherits
-    the row shim below, which adapts the row stream at the boundary.  An
-    operator must never implement ``execute_batches`` *without* a row
-    ``execute`` (lint rule SIM005): the cursor and snapshot-resolution
-    surfaces stay row-at-a-time.
+    ``execute_batches(ctx)`` is the one operator protocol: every
+    ``next()`` yields a :class:`~repro.exec.batch.Batch` of at most
+    ``ctx.batch_rows`` rows.  Below Project a batch carries environment
+    rows (``{quantifier id: row tuple}``); from Project upward it carries
+    plain result tuples.  Lint rule SIM005 holds every subclass to this
+    protocol.
     """
 
-    def execute(self, ctx):
-        raise NotImplementedError
-
     def execute_batches(self, ctx):
-        """Batch protocol; the default adapts the row protocol (RowShim)."""
-        return rows_to_batches(self.execute(ctx), ctx.batch_rows)
+        raise NotImplementedError
 
     # memory-governor consumer protocol (overridden by memory users)
     memory_pages = 0
@@ -77,8 +66,8 @@ class Operator:
 class SingleRowOp(Operator):
     """One empty environment (FROM-less SELECT)."""
 
-    def execute(self, ctx):
-        yield {}
+    def execute_batches(self, ctx):
+        yield Batch.from_columns((), [], 1)
 
 
 class SeqScanOp(Operator):
@@ -88,60 +77,25 @@ class SeqScanOp(Operator):
         self.quantifier = quantifier
         self.conjuncts = conjuncts
 
-    def execute(self, ctx):
-        storage = self.quantifier.schema.storage
-        qid = self.quantifier.id
-        counters = [[0, 0] for __ in self.conjuncts]  # [scanned, matched]
-        completed = False
-        n_conjuncts = len(self.conjuncts)
-        try:
-            for __, row in storage.scan(
-                snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-            ):
-                ctx.charge(CPU_ROW_US + n_conjuncts * CPU_PREDICATE_US)
-                env = {qid: row}
-                keep = True
-                for index, conjunct in enumerate(self.conjuncts):
-                    counters[index][0] += 1
-                    if evaluate_predicate(conjunct.expr, env, ctx.params):
-                        counters[index][1] += 1
-                    else:
-                        keep = False
-                        break
-                if keep:
-                    yield env
-            completed = True
-        finally:
-            if completed and ctx.feedback_enabled:
-                self._send_feedback(ctx, storage, counters)
-
     def execute_batches(self, ctx):
         """Vectorized scan: pack column-major slabs, filter whole columns.
 
-        Identical semantics to :meth:`execute` — same predicate
-        conditioning for the feedback counters (conjunct *i* sees only
-        rows surviving conjuncts < *i*), same completion gate — but the
-        per-row dict build and expression walk are amortized over
-        ``ctx.batch_rows`` rows.
+        Conjunct *i* only sees rows surviving conjuncts < *i*, so the
+        feedback counters are conditioned exactly as a short-circuiting
+        per-row ``AND`` would condition them.
         """
         storage = self.quantifier.schema.storage
         qid = self.quantifier.id
         counters = [[0, 0] for __ in self.conjuncts]  # [scanned, matched]
         completed = False
-        batch_rows = ctx.batch_rows
-        try:
-            pending = []
-            for __, row in storage.scan(
+        rows = (
+            row for __, row in storage.scan(
                 snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-            ):
-                pending.append(row)
-                if len(pending) >= batch_rows:
-                    batch = self._filter_batch(ctx, qid, pending, counters)
-                    pending = []
-                    if batch.count:
-                        yield batch
-            if pending:
-                batch = self._filter_batch(ctx, qid, pending, counters)
+            )
+        )
+        try:
+            for chunk in chunked(rows, ctx.batch_rows):
+                batch = self._filter_batch(ctx, qid, chunk, counters)
                 if batch.count:
                     yield batch
             completed = True
@@ -151,13 +105,11 @@ class SeqScanOp(Operator):
 
     def _filter_batch(self, ctx, qid, rows, counters):
         n_conjuncts = len(self.conjuncts)
-        count = len(rows)
         ctx.charge(
-            count * (CPU_ROW_BATCH_US + n_conjuncts * CPU_PREDICATE_BATCH_US)
+            len(rows)
+            * (CPU_ROW_BATCH_US + n_conjuncts * CPU_PREDICATE_BATCH_US)
         )
-        width = len(rows[0])
-        columns = [[row[i] for row in rows] for i in range(width)]
-        batch = Batch.from_columns(((qid, 0, width),), columns, count)
+        batch = pack_rows(qid, rows)
         for index, conjunct in enumerate(self.conjuncts):
             if batch.count == 0:
                 break
@@ -222,10 +174,8 @@ class IndexScanOp(Operator):
     def adaptive_event_count(self):
         return self.snapshot_fallbacks
 
-    def execute(self, ctx):
-        btree = self.index_schema.btree
+    def execute_batches(self, ctx):
         storage = self.quantifier.schema.storage
-        qid = self.quantifier.id
         snapshot = ctx.snapshot_lsn
         if snapshot is not None and self._must_fall_back(ctx, snapshot):
             # Some key this scan might need was *removed* from the B-tree
@@ -234,8 +184,18 @@ class IndexScanOp(Operator):
             # visits, so the tree cannot enumerate this snapshot.  Fall
             # back to the exact heap path, keeping the sarg as a filter.
             self.snapshot_fallbacks += 1
-            yield from self._snapshot_heap_scan(ctx, storage, qid)
-            return
+            rows = self._snapshot_heap_rows(ctx, storage)
+        else:
+            rows = self._index_rows(ctx, storage, snapshot)
+        qid = self.quantifier.id
+        residual = [c.expr for c in self.residual]
+        for chunk in chunked(rows, ctx.batch_rows):
+            batch = filter_batch(pack_rows(qid, chunk), residual, ctx.params)
+            if batch.count:
+                yield batch
+
+    def _index_rows(self, ctx, storage, snapshot):
+        btree = self.index_schema.btree
         if "eq" in self.sarg:
             values = tuple(
                 evaluate(expr, {}, ctx.params) for expr in self.sarg["eq"]
@@ -248,35 +208,24 @@ class IndexScanOp(Operator):
         for __, row_id in entries:
             ctx.charge(INDEX_NODE_US / 4.0 + CPU_ROW_US)
             if snapshot is None:
-                row = storage.get(row_id)
-            else:
-                # Snapshot read: the index reflects the *latest* keys, so
-                # the resolved image may be older than the entry that led
-                # here — re-verify the sarg against the image itself and
-                # skip rows whose slot was not visible at the snapshot.
-                row = storage.get_visible(row_id, snapshot, ctx.snapshot_txn)
-                if row is None or not self._key_in_bounds(row, bounds):
-                    continue
-            env = {qid: row}
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params) for c in self.residual
-            ):
-                yield env
+                yield storage.get(row_id)
+                continue
+            # Snapshot read: the index reflects the *latest* keys, so
+            # the resolved image may be older than the entry that led
+            # here — re-verify the sarg against the image itself and
+            # skip rows whose slot was not visible at the snapshot.
+            row = storage.get_visible(row_id, snapshot, ctx.snapshot_txn)
+            if row is not None and self._key_in_bounds(row, bounds):
+                yield row
 
-    def _snapshot_heap_scan(self, ctx, storage, qid):
+    def _snapshot_heap_rows(self, ctx, storage):
         bounds = self._bounds(ctx)
         for __, row in storage.scan(
             snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
         ):
             ctx.charge(CPU_ROW_US)
-            if not self._key_in_bounds(row, bounds):
-                continue
-            env = {qid: row}
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params)
-                for c in self.residual
-            ):
-                yield env
+            if self._key_in_bounds(row, bounds):
+                yield row
 
     def _must_fall_back(self, ctx, snapshot):
         """Can the B-tree enumerate this snapshot?  Only *removals* blind
@@ -353,15 +302,14 @@ class DerivedScanOp(Operator):
         self.sub_operator = sub_operator
         self.conjuncts = conjuncts
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         qid = self.quantifier.id
-        for row in self.sub_operator.execute(ctx):
-            ctx.charge(CPU_ROW_US)
-            env = {qid: tuple(row)}
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params) for c in self.conjuncts
-            ):
-                yield env
+        exprs = [c.expr for c in self.conjuncts]
+        for batch in self.sub_operator.execute_batches(ctx):
+            ctx.charge(batch.count * CPU_ROW_US)
+            batch = filter_batch(as_quantifier(qid, batch), exprs, ctx.params)
+            if batch.count:
+                yield batch
 
 
 class ProcedureScanOp(Operator):
@@ -371,7 +319,7 @@ class ProcedureScanOp(Operator):
         self.quantifier = quantifier
         self.body_operator = body_operator
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         procedure = self.quantifier.procedure
         args = [
             evaluate(arg, {}, ctx.params)
@@ -382,10 +330,10 @@ class ProcedureScanOp(Operator):
         cardinality = 0
         qid = self.quantifier.id
         body_ctx = ctx.with_params(body_params)
-        for row in self.body_operator.execute(body_ctx):
-            cardinality += 1
-            ctx.charge(CPU_ROW_US)
-            yield {qid: tuple(row)}
+        for batch in self.body_operator.execute_batches(body_ctx):
+            cardinality += batch.count
+            ctx.charge(batch.count * CPU_ROW_US)
+            yield as_quantifier(qid, batch)
         if ctx.stats is not None:
             ctx.stats.procedure_stats(procedure.name).record(
                 tuple(args), ctx.clock.now - started, cardinality
@@ -398,7 +346,7 @@ class RecursiveRefScanOp(Operator):
     def __init__(self, quantifier):
         self.quantifier = quantifier
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         rows = ctx.cte_tables.get(self.quantifier.cte_name)
         if rows is None:
             raise ExecutionError(
@@ -406,9 +354,9 @@ class RecursiveRefScanOp(Operator):
                 % (self.quantifier.cte_name,)
             )
         qid = self.quantifier.id
-        for row in rows:
-            ctx.charge(CPU_ROW_US)
-            yield {qid: tuple(row)}
+        for chunk in chunked(rows, ctx.batch_rows):
+            ctx.charge(len(chunk) * CPU_ROW_US)
+            yield pack_rows(qid, chunk)
 
 
 class FilterOp(Operator):
@@ -416,30 +364,13 @@ class FilterOp(Operator):
         self.child = child
         self.conjuncts = conjuncts
 
-    def execute(self, ctx):
-        for env in self.child.execute(ctx):
-            ctx.charge(len(self.conjuncts) * CPU_PREDICATE_US)
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params)
-                for c in self.conjuncts
-            ):
-                yield env
-
     def execute_batches(self, ctx):
-        """Whole-column predicate evaluation; conjunct *i* only sees rows
-        surviving conjuncts < *i* (same evaluation set as the row path's
-        short-circuiting ``all``)."""
+        """Whole-column predicate evaluation (see :func:`filter_batch`)."""
         n_conjuncts = len(self.conjuncts)
+        exprs = [c.expr for c in self.conjuncts]
         for batch in self.child.execute_batches(ctx):
             ctx.charge(batch.count * n_conjuncts * CPU_PREDICATE_BATCH_US)
-            for conjunct in self.conjuncts:
-                if batch.count == 0:
-                    break
-                mask = evaluate_predicate_batch(
-                    conjunct.expr, batch, ctx.params
-                )
-                if not all(mask):
-                    batch = batch.take(mask)
+            batch = filter_batch(batch, exprs, ctx.params)
             if batch.count:
                 yield batch
 
@@ -461,38 +392,63 @@ class NLJoinOp(Operator):
     def spill_event_count(self):
         return 1 if self.inner_spilled else 0
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
+        """Each outer row is broadcast against whole inner batches and
+        the join conjuncts evaluate as columns over those pairs.
+
+        Every visited (outer, inner) pair charges ``CPU_ROW_US`` plus
+        ``CPU_PREDICATE_US`` per conjunct; SEMI and ANTI stop visiting an
+        outer row's pairs at its first match.  A spilled inner input is
+        read back from the temp file once per outer row.
+        """
         inner = SpillableBuffer(ctx)
         try:
-            for env in self.right.execute(ctx):
-                inner.append(env)
+            for batch in self.right.execute_batches(ctx):
+                for env in batch.rows():
+                    inner.append(env)
             inner.seal()
             self.inner_spilled = inner.spilled
-            for left_env in self.left.execute(ctx):
-                matched = False
-                for right_env in inner.scan():
-                    ctx.charge(
-                        CPU_ROW_US + len(self.conjuncts) * CPU_PREDICATE_US
-                    )
-                    merged = {**left_env, **right_env}
-                    if all(
-                        evaluate_predicate(c.expr, merged, ctx.params)
-                        for c in self.conjuncts
-                    ):
-                        matched = True
-                        if self.join_type == Quantifier.SEMI:
-                            yield left_env
-                            break
-                        if self.join_type == Quantifier.ANTI:
-                            break
-                        yield merged
-                if not matched:
-                    if self.join_type == Quantifier.ANTI:
-                        yield left_env
-                    elif self.join_type == Quantifier.LEFT:
-                        yield null_extend(left_env, self.right_quantifiers)
+            yield from rows_to_batches(self._join(ctx, inner), ctx.batch_rows)
         finally:
             inner.free()
+
+    def _join(self, ctx, inner):
+        """The output environments, in nested-loop order."""
+        in_memory = None
+        if not inner.spilled:
+            in_memory = list(rows_to_batches(inner.scan()))
+        for outer in self.left.execute_batches(ctx):
+            for left_env in outer.rows():
+                inner_batches = in_memory
+                if inner_batches is None:
+                    inner_batches = rows_to_batches(inner.scan())
+                yield from self._join_row(ctx, left_env, inner_batches)
+
+    def _join_row(self, ctx, left_env, inner_batches):
+        """The output environments of one outer row."""
+        exprs = [c.expr for c in self.conjuncts]
+        pair_us = CPU_ROW_US + len(exprs) * CPU_PREDICATE_US
+        matched = False
+        for inner_batch in inner_batches:
+            positions = matching_positions(
+                left_env, inner_batch, exprs, ctx.params
+            )
+            if self.join_type in (Quantifier.SEMI, Quantifier.ANTI):
+                if positions:
+                    ctx.charge((positions[0] + 1) * pair_us)
+                    if self.join_type == Quantifier.SEMI:
+                        yield left_env
+                    return
+                ctx.charge(inner_batch.count * pair_us)
+                continue
+            ctx.charge(inner_batch.count * pair_us)
+            for position in positions:
+                matched = True
+                yield {**left_env, **inner_batch.env_at(position)}
+        if self.join_type == Quantifier.ANTI:
+            yield left_env
+        elif self.join_type == Quantifier.LEFT and not matched:
+            yield null_extend(left_env, self.right_quantifiers)
 
 
 class IndexNLJoinOp(Operator):
@@ -508,19 +464,34 @@ class IndexNLJoinOp(Operator):
         self.conjuncts = conjuncts
         self.local_conjuncts = local_conjuncts
 
-    def execute(self, ctx):
-        for left_env in self.left.execute(ctx):
-            yield from self.probe(ctx, left_env)
+    def execute_batches(self, ctx):
+        """Probe keys evaluate as columns over each outer batch; every
+        probe then walks its index entries in order, so SEMI and ANTI
+        fetch no inner row past the first match."""
+        return rows_to_batches(self._probe_all(ctx), ctx.batch_rows)
+
+    def _probe_all(self, ctx):
+        for batch in self.left.execute_batches(ctx):
+            key_columns = [
+                evaluate_batch(expr, batch, ctx.params)
+                for expr in self.probe_keys
+            ]
+            for position in range(batch.count):
+                values = tuple(column[position] for column in key_columns)
+                yield from self._probe(ctx, batch.env_at(position), values)
 
     def probe(self, ctx, left_env):
-        """Probe for one outer environment (shared with the hash join's
+        """Probe for one outer environment (the hash join's
         alternate-strategy switch)."""
-        btree = self.index_schema.btree
-        storage = self.quantifier.schema.storage
-        qid = self.quantifier.id
         values = tuple(
             evaluate(expr, left_env, ctx.params) for expr in self.probe_keys
         )
+        return self._probe(ctx, left_env, values)
+
+    def _probe(self, ctx, left_env, values):
+        btree = self.index_schema.btree
+        storage = self.quantifier.schema.storage
+        qid = self.quantifier.id
         ctx.charge(btree.height * INDEX_NODE_US)
         matched = False
         if all(value is not None for value in values):
@@ -642,43 +613,12 @@ class HashJoinOp(Operator):
 
     # -- execution ---------------------------------------------------------- #
 
-    def execute(self, ctx):
-        self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
-        self._partitions = [dict() for __ in range(HASH_PARTITIONS)]
-        self._spills = [None] * HASH_PARTITIONS
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
-        try:
-            self._build(ctx)
-            semi_switchable = (
-                self.join_type == Quantifier.SEMI and not self.residual
-            )
-            if (
-                self.alternate is not None
-                and self.alternate_threshold is not None
-                and self.build_row_count <= self.alternate_threshold
-                and (self.join_type == Quantifier.INNER or semi_switchable)
-            ):
-                self.switched_to_alternate = True
-                ctx.note("hash_join_switched")
-                yield from self._execute_alternate(ctx)
-                return
-            yield from self._probe(ctx)
-        finally:
-            ctx.task.unregister_consumer(self)
-            self._memory.release_all()
-            for spill in self._spills:
-                if spill is not None:
-                    spill.free()
-
     def execute_batches(self, ctx):
-        """Batch protocol: vectorized key evaluation, batched emission.
+        """Vectorized key evaluation, batched emission.
 
-        Per-row memory accounting, partition placement, eviction and the
-        alternate-strategy switch are byte-for-byte the row path's — only
-        key evaluation (whole columns) and output transport (batches) are
-        vectorized, so spill and adaptive decisions are identical across
-        modes.
+        Memory accounting, partition placement, eviction and the
+        alternate-strategy switch stay per row, in input order; only key
+        evaluation (whole columns) and output transport are batched.
         """
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
@@ -698,8 +638,8 @@ class HashJoinOp(Operator):
             ):
                 self.switched_to_alternate = True
                 ctx.note("hash_join_switched")
-                # The alternate probes row-at-a-time (index NL is
-                # unmigrated); adapt its output at the boundary.
+                # The alternate probes once per build row; pack its
+                # output into batches.
                 yield from rows_to_batches(
                     self._execute_alternate(ctx), ctx.batch_rows
                 )
@@ -711,27 +651,6 @@ class HashJoinOp(Operator):
             for spill in self._spills:
                 if spill is not None:
                     spill.free()
-
-    def _build(self, ctx):
-        for env in self.right.execute(ctx):
-            ctx.charge(CPU_HASH_BUILD_US)
-            self.build_row_count += 1
-            self._row_bytes = max(self._row_bytes, env_row_bytes(env))
-            key = tuple(
-                evaluate(expr, env, ctx.params) for expr in self.build_keys
-            )
-            index = hash(key) % HASH_PARTITIONS
-            if self._partitions[index] is None:
-                self._spills[index].append((key, env))
-                continue
-            self._memory.add(self._row_bytes)
-            # The allocation may have reclaimed (evicted) this very
-            # partition; rows then go straight to its spill file.
-            partition = self._partitions[index]
-            if partition is None:
-                self._spills[index].append((key, env))
-            else:
-                partition.setdefault(key, []).append(env)
 
     def _build_batches(self, ctx):
         for batch in self.right.execute_batches(ctx):
@@ -750,8 +669,8 @@ class HashJoinOp(Operator):
                     self._spills[index].append((key, env))
                     continue
                 self._memory.add(self._row_bytes)
-                # Same re-check as the row path: the allocation may have
-                # evicted this very partition.
+                # The allocation may have reclaimed (evicted) this very
+                # partition; rows then go straight to its spill file.
                 partition = self._partitions[index]
                 if partition is None:
                     self._spills[index].append((key, env))
@@ -789,47 +708,9 @@ class HashJoinOp(Operator):
             if spill is not None:
                 yield from spill.read_all()
 
-    def _probe(self, ctx):
-        probe_spills = [None] * HASH_PARTITIONS
-        for left_env in self.left.execute(ctx):
-            ctx.charge(CPU_HASH_PROBE_US)
-            key = tuple(
-                evaluate(expr, left_env, ctx.params) for expr in self.probe_keys
-            )
-            index = hash(key) % HASH_PARTITIONS
-            if self._partitions[index] is None:
-                if probe_spills[index] is None:
-                    probe_spills[index] = SpillFile(
-                        ctx.temp_file, self._row_bytes, ctx.pool.page_size,
-                        fault_plan=getattr(ctx, "fault_plan", None),
-                        yield_hook=getattr(ctx, "yield_hook", None),
-                    )
-                probe_spills[index].append((key, left_env))
-                self.probe_rows_spilled += 1
-                continue
-            yield from self._emit_matches(
-                ctx, left_env, key, self._partitions[index]
-            )
-        # Spilled partitions: reload the build side and re-probe.
-        for index in range(HASH_PARTITIONS):
-            probe_spill = probe_spills[index]
-            if probe_spill is None:
-                if self._spills[index] is not None:
-                    self._spills[index].free()
-                continue
-            build_table = {}
-            if self._spills[index] is not None:
-                for key, env in self._spills[index].read_all():
-                    build_table.setdefault(key, []).append(env)
-                self._spills[index].free()
-            for key, left_env in probe_spill.read_all():
-                ctx.charge(CPU_HASH_PROBE_US)
-                yield from self._emit_matches(ctx, left_env, key, build_table)
-            probe_spill.free()
-
     def _probe_batches(self, ctx):
-        """Batch probe: vectorized probe-key columns, emission re-packed
-        into batches; spill routing matches the row path row-for-row."""
+        """Vectorized probe-key columns; emission re-packed into batches;
+        spill routing stays per row, in input order."""
         probe_spills = [None] * HASH_PARTITIONS
         builder = BatchBuilder(ctx.batch_rows)
         for batch in self.left.execute_batches(ctx):
@@ -861,9 +742,9 @@ class HashJoinOp(Operator):
                     done = builder.add(out_env)
                     if done is not None:
                         yield done
-        # Spilled partitions: reload the build side and re-probe.  This
-        # leg stays row-at-a-time (spill files read back rows), so it
-        # charges the unamortized row constants.
+        # Spilled partitions: reload the build side and re-probe.  Spill
+        # files read back one row at a time, so this leg charges the
+        # unamortized row constants.
         for index in range(HASH_PARTITIONS):
             probe_spill = probe_spills[index]
             if probe_spill is None:
@@ -917,6 +798,81 @@ class HashJoinOp(Operator):
 # --------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------- #
+
+def chunked(rows, size):
+    """Lists of up to ``size`` consecutive rows from ``rows``."""
+    chunk = []
+    for row in rows:
+        chunk.append(row)
+        if len(chunk) >= size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def pack_rows(qid, rows):
+    """Row tuples of one quantifier as a column-major batch."""
+    width = len(rows[0])
+    columns = [[row[i] for row in rows] for i in range(width)]
+    return Batch.from_columns(((qid, 0, width),), columns, len(rows))
+
+
+def as_quantifier(qid, batch):
+    """A tuple-shaped batch re-labelled as quantifier ``qid``'s rows
+    (columns are shared, not copied)."""
+    width = len(batch.columns)
+    return Batch.from_columns(((qid, 0, width),), batch.columns, batch.count)
+
+
+def filter_batch(batch, exprs, params):
+    """The rows of ``batch`` satisfying every predicate in ``exprs``.
+
+    Predicate *i* only sees rows that survived predicates < *i*, the
+    evaluation set of a short-circuiting per-row ``AND``.
+    """
+    for expr in exprs:
+        if batch.count == 0:
+            break
+        mask = evaluate_predicate_batch(expr, batch, params)
+        if not all(mask):
+            batch = batch.take(mask)
+    return batch
+
+
+def matching_positions(left_env, inner, exprs, params):
+    """Positions of ``inner`` rows that satisfy ``exprs`` when paired
+    with the single outer environment ``left_env``."""
+    if not exprs:
+        return list(range(inner.count))
+    # Broadcast the outer row to the inner batch's length; the inner
+    # columns are shared.  Inner keys win, as in ``{**left, **right}``.
+    inner_keys = {key for key, __, __w in inner.layout}
+    layout = []
+    columns = []
+    for key, row in left_env.items():
+        if key in inner_keys:
+            continue
+        layout.append((key, len(columns), len(row)))
+        columns.extend([value] * inner.count for value in row)
+    offset = len(columns)
+    layout.extend(
+        (key, offset + start, width) for key, start, width in inner.layout
+    )
+    columns.extend(inner.columns)
+    batch = Batch.from_columns(tuple(layout), columns, inner.count)
+    positions = range(inner.count)
+    for expr in exprs:
+        if batch.count == 0:
+            break
+        mask = evaluate_predicate_batch(expr, batch, params)
+        if not all(mask):
+            batch = batch.take(mask)
+            positions = [
+                position for position, keep in zip(positions, mask) if keep
+            ]
+    return list(positions)
+
 
 def null_extend(env, quantifiers):
     """Left-outer NULL extension for the null-supplied side."""

@@ -369,10 +369,14 @@ class Optimizer:
                 plan = IndexScanPlan(quantifier, index_schema, sarg, local)
             else:
                 plan = SeqScanPlan(quantifier, local)
-        elif quantifier.kind == Quantifier.PROCEDURE:
-            plan = ProcedureScanPlan(quantifier, q_info.sub_plan)
-        elif quantifier.kind == Quantifier.RECURSIVE_REF:
-            plan = RecursiveRefScanPlan(quantifier)
+        elif quantifier.kind in (
+            Quantifier.PROCEDURE, Quantifier.RECURSIVE_REF
+        ):
+            # Neither scan evaluates predicates itself.
+            if quantifier.kind == Quantifier.PROCEDURE:
+                plan = ProcedureScanPlan(quantifier, q_info.sub_plan)
+            else:
+                plan = RecursiveRefScanPlan(quantifier)
             if local:
                 plan.est_rows = q_info.filtered_rows
                 plan.est_cost_us = q_info.seq_scan_cost

@@ -11,12 +11,12 @@ from collections import Counter
 
 from repro.engine import StatementOverrides
 
-#: The NoREC plan-variation matrix.  ``plan_cache`` is handled
-#: specially (the query must be executed past the cache's training
-#: period so a *cached* plan actually serves the final answer).
+#: The NoREC plan-variation matrix.  Two variants are handled specially:
+#: ``cursor`` fetches through an open cursor, whose one-row batches cross
+#: every batch boundary the statement path's full batches do not, and
+#: ``plan_cache`` executes the query past the cache's training period so
+#: a *cached* plan actually serves the final answer.
 NOREC_VARIANTS = (
-    ("batch_on", StatementOverrides(batch_execution=True)),
-    ("batch_off", StatementOverrides(batch_execution=False)),
     ("snapshot_on", StatementOverrides(snapshot_reads=True)),
     ("snapshot_off", StatementOverrides(snapshot_reads=False)),
     ("heap_scan", StatementOverrides(force_heap_scan=True)),
@@ -70,6 +70,15 @@ def run_rows(connection, sql, overrides=None):
     """Execute and materialize as a list of plain tuples."""
     result = connection.execute(sql, overrides=overrides)
     return [tuple(row) for row in result.rows]
+
+
+def cursor_rows(connection, sql):
+    """Fetch every row through a cursor, as a list of plain tuples."""
+    cursor = connection.open_cursor(sql)
+    try:
+        return [tuple(row) for row in cursor.fetchall()]
+    finally:
+        cursor.close()
 
 
 def multiset(rows):
@@ -198,15 +207,20 @@ def check_norec(connection, query, include_plan_cache=True):
         "digest": result_digest(baseline),
         "rows": len(baseline),
     }
-    variants = [(name, overrides, 1) for name, overrides in NOREC_VARIANTS]
+    variants = [
+        (name, lambda o=overrides: run_rows(connection, sql, o), 1)
+        for name, overrides in NOREC_VARIANTS
+    ]
+    variants.append(("cursor", lambda: cursor_rows(connection, sql), 1))
     if include_plan_cache:
+        cached = StatementOverrides(use_plan_cache=True)
         variants.append((
-            "plan_cache", StatementOverrides(use_plan_cache=True),
+            "plan_cache", lambda: run_rows(connection, sql, cached),
             PLAN_CACHE_RUNS,
         ))
-    for name, overrides, repeats in variants:
+    for name, run_variant, repeats in variants:
         for run in range(repeats):
-            rows = run_rows(connection, sql, overrides)
+            rows = run_variant()
             actual = rows if exact else multiset(rows)
             if actual == expected:
                 continue

@@ -7,12 +7,12 @@ catches *both* — if a refactor ever makes the oracles blind, the
 negatives go red before a real bug slips through.
 
 Both bugs are planted in the row **and** batch evaluators, like a
-genuine misreading of the SQL spec would be — a single-mode plant would
-be caught by NoREC's batch-on/batch-off variation instead of by TLP.
-And both are deliberately **asymmetric** across the TLP partitions: a
-NULL-semantics bug applied uniformly to every partition (e.g.
-``NULL AND TRUE = TRUE`` inside every branch) can cancel out of the
-partition equation and survive TLP.  Treating unknown as satisfied at
+genuine misreading of the SQL spec would be: operators filter through
+the batch evaluator, while index-NL residuals, sargs and DML still use
+the row evaluator.  And both are deliberately **asymmetric** across the
+TLP partitions: a NULL-semantics bug applied uniformly to every
+partition (e.g. ``NULL AND TRUE = TRUE`` inside every branch) can
+cancel out of the partition equation and survive TLP.  Treating unknown as satisfied at
 the *filter* level (the pushdown bug) triple-counts NULL-predicate
 rows; rewriting only ``NOT unknown`` to TRUE (the Kleene bug)
 double-counts them.
@@ -20,14 +20,13 @@ double-counts them.
 
 import contextlib
 
-from repro.exec import aggregates as aggregates_module
 from repro.exec import expr as expr_module
 from repro.exec import operators as operators_module
 from repro.sql import ast
 
 #: Modules that imported the predicate entry points by name; the plant
 #: must rebind each import site, not just the defining module.
-_FILTER_SITES = (operators_module, aggregates_module)
+_FILTER_SITES = (operators_module,)
 
 
 @contextlib.contextmanager
@@ -36,9 +35,9 @@ def predicate_pushdown_bug():
 
     The classic predicate-pushdown bug: a filter pushed into the scan
     drops the "unknown is not satisfied" rule, so rows whose predicate
-    evaluates to NULL leak through every WHERE clause — in row mode and
-    batch mode alike.  TLP then sees each NULL-predicate row in all
-    three partitions instead of exactly one.
+    evaluates to NULL leak through every WHERE clause.  TLP then sees
+    each NULL-predicate row in all three partitions instead of exactly
+    one.
     """
     saved = [
         (site, site.evaluate_predicate, site.evaluate_predicate_batch)

@@ -159,7 +159,7 @@ class TestSIM005OperatorProtocol:
         class HoarderOp(Operator):
             memory_pages = 0
 
-            def execute(self, ctx):
+            def execute_batches(self, ctx):
                 yield from ()
         """
         assert "SIM005" in codes(source)
@@ -167,7 +167,7 @@ class TestSIM005OperatorProtocol:
     def test_full_protocol_is_clean(self):
         source = """
         class GoodOp(Operator):
-            def execute(self, ctx):
+            def execute_batches(self, ctx):
                 yield from ()
 
             @property
@@ -179,15 +179,15 @@ class TestSIM005OperatorProtocol:
         """
         assert codes(source) == []
 
-    def test_execute_batches_without_execute_fires(self):
+    def test_row_execute_fires(self):
         source = """
-        class BatchOnly:
-            def execute_batches(self, ctx):
+        class RowOp(Operator):
+            def execute(self, ctx):
                 yield from ()
         """
         assert "SIM005" in codes(source)
 
-    def test_both_protocols_are_clean(self):
+    def test_both_protocols_fire(self):
         source = """
         class DualOp(Operator):
             def execute(self, ctx):
@@ -196,36 +196,13 @@ class TestSIM005OperatorProtocol:
             def execute_batches(self, ctx):
                 yield from ()
         """
-        assert codes(source) == []
-
-    def test_row_call_inside_execute_batches_fires(self):
-        source = """
-        class MixerOp(Operator):
-            def execute(self, ctx):
-                yield from ()
-
-            def execute_batches(self, ctx):
-                for row in self.child.execute(ctx):
-                    yield row
-        """
         assert "SIM005" in codes(source)
 
-    def test_shimmed_row_call_is_clean(self):
+    def test_execute_outside_operator_is_clean(self):
         source = """
-        class ShimOp(Operator):
+        class Helper:
             def execute(self, ctx):
                 yield from ()
-
-            def execute_batches(self, ctx):
-                return rows_to_batches(self.execute(ctx), ctx.batch_rows)
-        """
-        assert codes(source) == []
-
-    def test_row_call_outside_execute_batches_is_clean(self):
-        source = """
-        class RunnerOp(Operator):
-            def execute(self, ctx):
-                yield from self.child.execute(ctx)
         """
         assert codes(source) == []
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import SimClock, Timer
+from repro.common import SimClock
 
 
 def test_clock_starts_at_zero():
@@ -115,26 +115,3 @@ def test_pending_timers_count():
     clock.advance(15)
     assert clock.pending_timers() == 1
 
-
-def test_timer_charge_accumulates_and_advances_clock():
-    clock = SimClock()
-    timer = Timer(clock)
-    timer.charge(100)
-    timer.charge(50)
-    assert timer.elapsed_us == 150
-    assert clock.now == 150
-
-
-def test_timer_reset_keeps_clock():
-    clock = SimClock()
-    timer = Timer(clock)
-    timer.charge(75)
-    timer.reset()
-    assert timer.elapsed_us == 0
-    assert clock.now == 75
-
-
-def test_timer_rejects_negative_charge():
-    timer = Timer(SimClock())
-    with pytest.raises(ValueError):
-        timer.charge(-1)
