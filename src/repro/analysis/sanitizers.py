@@ -13,7 +13,8 @@ show; these sanitizers check the invariants only execution can reach:
 * **one clock** — :class:`SanitizedSimClock` asserts monotonicity;
 * **replacement sanity** — :class:`SanitizedGClockPolicy` asserts hand
   validity on every sweep (the exact invariant whose violation caused the
-  PR 1 hand-drift bug).
+  PR 1 hand-drift bug), monotone reference ticks, and that the recency
+  head is the oldest frame (the invariant behind the O(1) segment age).
 
 Enable them with ``Server(sanitize=True)``, the ``REPRO_SANITIZE``
 environment variable, or :func:`set_sanitizers_enabled` (the pytest
@@ -343,12 +344,20 @@ class SanitizedSimClock(SimClock):
 
 
 class SanitizedGClockPolicy(GClockPolicy):
-    """Asserts the clock hand and chosen victims stay valid.
+    """Asserts the clock hand, chosen victims and recency order stay valid.
 
     The PR 1 hand-drift bug (`on_remove` forgetting to shift the hand)
     produced exactly the states these checks reject: a hand past the end
-    of the ring, or a victim that is pinned or no longer resident.
+    of the ring, or a victim that is pinned or no longer resident.  The
+    O(1) segment age reads the oldest reference tick from the recency
+    head, which is exact only while ticks never decrease; a tick lower
+    than the last one seen, or a head that is not the oldest frame at a
+    sweep, is rejected.
     """
+
+    def __init__(self):
+        super().__init__()
+        self._last_tick = None
 
     def _check_hand(self, event):
         if not (0 <= self._hand <= len(self._ring)):
@@ -357,9 +366,34 @@ class SanitizedGClockPolicy(GClockPolicy):
                 % (event, self._hand, len(self._ring))
             )
 
+    def _check_tick(self, event, tick):
+        if self._last_tick is not None and tick < self._last_tick:
+            raise ReplacementError(
+                "GClock %s at tick %d after tick %d: ticks must not decrease"
+                % (event, tick, self._last_tick)
+            )
+        self._last_tick = tick
+
+    def _check_recency_head(self):
+        if not self._ring:
+            return
+        head = next(iter(self._recency))
+        oldest = min(frame.last_ref_tick for frame in self._ring)
+        if head.last_ref_tick != oldest:
+            raise ReplacementError(
+                "GClock recency head %r has last_ref_tick %d, but the "
+                "oldest resident frame's is %d"
+                % (head, head.last_ref_tick, oldest)
+            )
+
     def on_insert(self, frame, tick):
+        self._check_tick("on_insert", tick)
         super().on_insert(frame, tick)
         self._check_hand("on_insert")
+
+    def on_reference(self, frame, tick):
+        self._check_tick("on_reference", tick)
+        super().on_reference(frame, tick)
 
     def on_remove(self, frame):
         super().on_remove(frame)
@@ -371,6 +405,7 @@ class SanitizedGClockPolicy(GClockPolicy):
 
     def choose_victim(self, frames, tick):
         self._check_hand("sweep start")
+        self._check_recency_head()
         victim = super().choose_victim(frames, tick)
         self._check_hand("sweep end")
         if victim.pinned:

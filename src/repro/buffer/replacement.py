@@ -64,6 +64,10 @@ class GClockPolicy(ReplacementPolicy):
         self._ring = []  # frames in insertion order; hand cycles this list
         self._hand = 0
         self._lookaside = collections.deque()
+        # Resident frames in last-reference order, oldest first.  The pool
+        # passes its current tick to every insert/reference and that tick
+        # only grows, so the head always holds the minimum last_ref_tick.
+        self._recency = collections.OrderedDict()
 
     # -- lifecycle ------------------------------------------------------- #
 
@@ -72,15 +76,25 @@ class GClockPolicy(ReplacementPolicy):
         frame.last_ref_tick = tick
         frame.insert_tick = tick
         self._ring.append(frame)
+        self._recency[frame] = None
 
     def on_reference(self, frame, tick):
         # A re-reference bumps the score only if the page has aged out of
         # the newest segment since its last reference — the "moves from
         # segment to segment" rule, which keeps a tight re-reference loop
         # (e.g. repeated hits during one table scan) from inflating scores.
-        if self._segment_of(frame, tick) > 0:
+        # The reference-time span runs from the oldest resident reference
+        # (the recency head: O(1)) to now and is cut into SEGMENTS equal
+        # segments; the page has left segment 0 once its age is at least
+        # one segment wide.  The head is never younger than the page, so a
+        # positive age also means a positive span.
+        recency = self._recency
+        span = tick - next(iter(recency)).last_ref_tick
+        age = tick - frame.last_ref_tick
+        if age > 0 and age * SEGMENTS >= span:
             frame.score = min(MAX_SCORE, frame.score + 1.0)
         frame.last_ref_tick = tick
+        recency.move_to_end(frame)
 
     def on_remove(self, frame):
         try:
@@ -88,6 +102,7 @@ class GClockPolicy(ReplacementPolicy):
         except ValueError:
             return
         del self._ring[index]
+        del self._recency[frame]
         # Removing a frame below the hand shifts the ring left under it;
         # follow the shift or the hand silently skips the next frame.
         if index < self._hand:
@@ -131,20 +146,7 @@ class GClockPolicy(ReplacementPolicy):
             "no replaceable frame among %d (all pinned?)" % (len(self._ring),)
         )
 
-    # -- internals -------------------------------------------------------- #
-
-    def _segment_of(self, frame, tick):
-        """Which of the 8 reference-time segments the frame occupies.
-
-        Segment 0 is the newest eighth of the reference-time span; 7 the
-        oldest.
-        """
-        if not self._ring:
-            return 0
-        oldest = min(f.last_ref_tick for f in self._ring)
-        span = max(1, tick - oldest)
-        age = tick - frame.last_ref_tick
-        return min(SEGMENTS - 1, (age * SEGMENTS) // span)
+    # -- diagnostics ----------------------------------------------------- #
 
     def lookaside_depth(self):
         """Number of queued immediately-reusable frames (diagnostics)."""

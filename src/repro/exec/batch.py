@@ -88,9 +88,6 @@ class Batch:
                 return self.columns[offset + index]
         return None
 
-    def has_key(self, key):
-        return any(entry_key == key for entry_key, __, __w in self.layout)
-
     # -- row access ----------------------------------------------------- #
 
     def rows(self):
@@ -112,9 +109,6 @@ class Batch:
             )
             for key, offset, width in self.layout
         }
-
-    def tuple_at(self, index):
-        return tuple(column[index] for column in self.columns)
 
     # -- transformations ------------------------------------------------ #
 

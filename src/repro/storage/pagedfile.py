@@ -26,6 +26,10 @@ IO_RETRY_BACKOFF_US = 100
 PageAddress = collections.namedtuple("PageAddress", ["file_id", "page_no"])
 
 
+#: Exact types of immutable scalars a row tuple may share with a page image.
+_SCALAR_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
+
+
 def _copy_payload(value):
     """Structural copy of a page payload (containers only).
 
@@ -34,8 +38,25 @@ def _copy_payload(value):
     what keeps the two worlds separate — without it, an in-memory slot
     update would silently become durable with no writeback, and crash
     recovery would have nothing to recover.  Scalars (and engine value
-    objects like RowId, which are never mutated) are shared.
+    objects like RowId, which are never mutated) are shared, and so is a
+    plain tuple of scalars: it is immutable all the way down, and row
+    slots are replaced, never mutated in place.  Everything else —
+    dicts, lists, sets, tuple subclasses, tuples holding anything but
+    scalars — is rebuilt.
     """
+    kind = type(value)
+    if kind is tuple:
+        for item in value:
+            if type(item) not in _SCALAR_TYPES:
+                return tuple(_copy_payload(item) for item in value)
+        return value
+    if kind is list:
+        return [_copy_payload(item) for item in value]
+    if kind is dict:
+        return {key: _copy_payload(item) for key, item in value.items()}
+    if kind in _SCALAR_TYPES:
+        return value
+    # Subclasses and sets: rebuilt as the plain base container.
     if isinstance(value, dict):
         return {key: _copy_payload(item) for key, item in value.items()}
     if isinstance(value, list):

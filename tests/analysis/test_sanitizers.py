@@ -254,6 +254,36 @@ class TestGClockSanitizer:
         with pytest.raises(ReplacementError):
             policy.choose_victim(set(frames), 2)
 
+    def test_equal_ticks_pass(self):
+        policy = SanitizedGClockPolicy()
+        a, b = self._frames(2)
+        policy.on_insert(a, 5)
+        policy.on_insert(b, 5)
+        policy.on_reference(a, 5)
+        assert policy.choose_victim({a, b}, 5) in (a, b)
+
+    @pytest.mark.parametrize("event", ["on_insert", "on_reference"])
+    def test_decreasing_tick_detected(self, event):
+        policy = SanitizedGClockPolicy()
+        a, b = self._frames(2)
+        policy.on_insert(a, 10)
+        with pytest.raises(ReplacementError, match="must not decrease"):
+            if event == "on_insert":
+                policy.on_insert(b, 9)
+            else:
+                policy.on_reference(a, 9)
+
+    def test_corrupted_recency_order_detected(self):
+        policy = SanitizedGClockPolicy()
+        frames = self._frames(3)
+        for tick, frame in enumerate(frames):
+            policy.on_insert(frame, tick)
+        # Plant the bug: the oldest frame jumps to the young end without
+        # a reference, so the head no longer holds the oldest tick.
+        policy._recency.move_to_end(frames[0])
+        with pytest.raises(ReplacementError, match="recency head"):
+            policy.choose_victim(set(frames), 3)
+
     def test_server_uses_sanitized_policy(self):
         server = make_server()
         assert isinstance(server.pool.policy, SanitizedGClockPolicy)
